@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run the kernel/codec benchmarks and write ``BENCH_kernel.json``.
 
-Four same-run comparisons, all immune to machine drift because both
+Five same-run comparisons, all immune to machine drift because both
 sides execute interleaved in this process:
 
 1. **soak** — the deterministic multi-cluster soak scenario
@@ -11,10 +11,15 @@ sides execute interleaved in this process:
    same event set.
 2. **cdr** — ``write_any``/``read_any`` with the compiled-style fast
    path (:mod:`repro.orb._cdr_fast`) on and off, reported as ns/call
-   against the decode figure committed in ``BENCH_orb.json``.
+   against the decode figure committed in ``BENCH_orb.json`` and,
+   timed in this run, against the seed decoder (``_seed_cdr``).
 3. **echo** — the full ORB echo round-trip against the seed wire
-   path, same harness as ``run_bench.py``.
-4. **retry_hint** — the scheduler's k-th-completion admission hint at
+   path, same harness as ``run_bench.py``, one payload replayed.
+4. **echo_varied** — the same round-trip over the seeded Zipf echo
+   corpus of ``perfbench`` (4096 payloads of four shapes, far more
+   than the 256-entry wire caches hold), so caches that only pay off
+   on replayed payloads cannot carry the ratio.
+5. **retry_hint** — the scheduler's k-th-completion admission hint at
    depth >= 1k: the old per-check ``heapq.nsmallest`` versus the
    sorted-inflight index.
 
@@ -24,14 +29,16 @@ Usage::
         [--no-check]
 
 Unless ``--no-check`` is given the run fails (exit 1) if the soak or
-echo speedups come in under 2x, or the fast-path decode is not >= 2x
-faster than the committed interpreter figure.
+echo speedups come in under 2x, the fast-path decode is not >= 2x
+faster than the committed interpreter figure, or the varied-payload
+echo comes in under 1.5x the seed wire path.
 """
 
 from __future__ import annotations
 
 import argparse
 import heapq
+import itertools
 import json
 import os
 import random
@@ -41,12 +48,14 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-for path in (SRC, HERE):
+for path in (SRC, HERE, ROOT):
     if path not in sys.path:
         sys.path.insert(0, path)
 
+import _seed_cdr  # noqa: E402
 import _seed_kernel  # noqa: E402
 import run_bench  # noqa: E402
+from perfbench.inputs import same, zipf_corpus  # noqa: E402
 
 from repro.orb import cdr  # noqa: E402
 from repro.orb.cdr import CDRDecoder, CDREncoder, use_fast_path  # noqa: E402
@@ -63,6 +72,11 @@ from repro.workloads.soak import (  # noqa: E402
 COMMITTED_DECODE_NS = 16392.6
 
 SOAK_SHARDS = 4
+
+#: Seed of the varied-payload echo corpus, and the ratio over the seed
+#: wire path that echo must keep on it.
+VARIED_SEED = 1
+MIN_VARIED_SPEEDUP = 1.5
 
 
 def _soak_setup(quick: bool):
@@ -141,6 +155,9 @@ def cdr_comparison(quick: bool) -> dict:
     encoder = CDREncoder()
     encoder.write_any(payload)
     wire = encoder.getvalue()
+    seed_encoder = _seed_cdr.CDREncoder()
+    seed_encoder.write_any(payload)
+    assert seed_encoder.getvalue() == wire, "seed and current CDR bytes diverged"
 
     def encode():
         enc = CDREncoder()
@@ -172,6 +189,10 @@ def cdr_comparison(quick: bool) -> dict:
         finally:
             use_fast_path(True)
     fast_decode = results["fast"]["decode_ns_per_call"]
+    seed_s, new_s = run_bench._compare(
+        lambda: _seed_cdr.CDRDecoder(wire).read_any(), decode,
+        number=number, repeats=repeats,
+    )
     return {
         "impl": cdr.FAST_IMPL,
         **results,
@@ -182,6 +203,8 @@ def cdr_comparison(quick: bool) -> dict:
         "decode_speedup_vs_committed": round(
             COMMITTED_DECODE_NS / fast_decode, 3
         ),
+        "seed_decode_ns_per_call": round(seed_s * 1e9, 1),
+        "decode_speedup_vs_seed": round(seed_s / new_s, 3),
     }
 
 
@@ -199,6 +222,42 @@ def echo_comparison(quick: bool) -> dict:
         seed_ctx=run_bench._seed_wire.seed_wire,
     )
     return {
+        "seed_us": round(seed_s * 1e6, 3),
+        "new_us": round(new_s * 1e6, 3),
+        "speedup": round(seed_s / new_s, 3),
+    }
+
+
+def varied_echo_comparison(quick: bool) -> dict:
+    """Seed-wire vs current echo round-trip over varied payloads.
+
+    Each side walks its own copy of one Zipf call sequence, long enough
+    that no batch repeats another's payloads, so batch k of both sides
+    echoes the same values.
+    """
+    number = 150 if quick else 1000
+    repeats = 5 if quick else 7
+    calls = zipf_corpus(VARIED_SEED, number * (repeats + 1)).calls()
+    stub_seed = run_bench._echo_stub()
+    stub_new = run_bench._echo_stub()
+    next_seed = itertools.cycle(calls).__next__
+    next_new = itertools.cycle(calls).__next__
+    seed_s, new_s = run_bench._compare(
+        lambda: stub_seed.echo(next_seed()),
+        lambda: stub_new.echo(next_new()),
+        number=number, repeats=repeats,
+        seed_ctx=run_bench._seed_wire.seed_wire,
+    )
+    checked = calls[:200]
+    with run_bench._seed_wire.seed_wire():
+        seed_ok = all(same(value, stub_seed.echo(value)) for value in checked)
+    new_ok = all(same(value, stub_new.echo(value)) for value in checked)
+    if not (seed_ok and new_ok):
+        raise SystemExit("varied echo replies differ from their requests")
+    return {
+        "corpus_seed": VARIED_SEED,
+        "calls_per_side": len(calls),
+        "distinct_payloads": len({id(value) for value in calls}),
         "seed_us": round(seed_s * 1e6, 3),
         "new_us": round(new_s * 1e6, 3),
         "speedup": round(seed_s / new_s, 3),
@@ -269,6 +328,7 @@ def main(argv=None) -> int:
     soak = soak_comparison(args.quick)
     cdr_result = cdr_comparison(args.quick)
     echo = echo_comparison(args.quick)
+    varied = varied_echo_comparison(args.quick)
     retry = retry_hint_comparison()
 
     payload = {
@@ -276,6 +336,7 @@ def main(argv=None) -> int:
         "soak": soak,
         "cdr": cdr_result,
         "echo_roundtrip": echo,
+        "echo_varied": varied,
         "sched_retry_hint": retry,
         "gates": {
             "min_speedup": args.min_speedup,
@@ -283,6 +344,8 @@ def main(argv=None) -> int:
             "echo_speedup": echo["speedup"],
             "decode_speedup_vs_committed":
                 cdr_result["decode_speedup_vs_committed"],
+            "min_varied_speedup": MIN_VARIED_SPEEDUP,
+            "echo_varied_speedup": varied["speedup"],
         },
     }
     with open(args.out, "w") as handle:
@@ -295,9 +358,13 @@ def main(argv=None) -> int:
           f"speedup {soak['speedup']:.2f}x  ({soak['events']} events)")
     print(f"  cdr decode  fast {cdr_result['fast']['decode_ns_per_call']:.0f}ns  "
           f"interpreted {cdr_result['interpreted']['decode_ns_per_call']:.0f}ns  "
-          f"vs committed {cdr_result['decode_speedup_vs_committed']:.2f}x")
+          f"vs committed {cdr_result['decode_speedup_vs_committed']:.2f}x  "
+          f"vs seed {cdr_result['decode_speedup_vs_seed']:.2f}x")
     print(f"  echo        seed {echo['seed_us']:.2f}us  "
           f"new {echo['new_us']:.2f}us  speedup {echo['speedup']:.2f}x")
+    print(f"  echo varied seed {varied['seed_us']:.2f}us  "
+          f"new {varied['new_us']:.2f}us  speedup {varied['speedup']:.2f}x  "
+          f"({varied['distinct_payloads']} payloads)")
     print(f"  retry hint  old {retry['old_ns_per_hint']:.0f}ns  "
           f"new {retry['new_ns_per_hint']:.0f}ns  "
           f"speedup {retry['speedup']:.0f}x  (depth {retry['depth']})")
@@ -312,6 +379,11 @@ def main(argv=None) -> int:
             failures.append(
                 f"decode-vs-committed "
                 f"{cdr_result['decode_speedup_vs_committed']:.2f}x"
+            )
+        if varied["speedup"] < MIN_VARIED_SPEEDUP:
+            failures.append(
+                f"echo-varied {varied['speedup']:.2f}x "
+                f"(bar {MIN_VARIED_SPEEDUP}x)"
             )
         if failures:
             print(f"\nFAIL: below {args.min_speedup}x: {', '.join(failures)}")

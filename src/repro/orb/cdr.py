@@ -16,9 +16,11 @@ benchmark, so the implementation is tuned):
 - the encoder appends into one ``bytearray`` through module-level
   precompiled :class:`struct.Struct` instances — no chunk list, no
   per-call format parsing, one ``bytes()`` copy at :meth:`getvalue`;
-- the decoder reads through a ``memoryview``, so nested decodes
-  (strings, octet payloads handed to sub-decoders) never copy the
-  underlying buffer more than the API forces them to;
+- the decoder scans an immutable ``bytes`` buffer (a ``memoryview`` or
+  ``bytearray`` input is copied once, on construction), so strings
+  decode straight from a ``bytes`` slice — about 3x cheaper than
+  ``str(memoryview_slice, "utf-8")`` — and octet payloads are the
+  slice itself;
 - homogeneous sequences of floats/ints batch through one repeated
   ``struct`` format instead of n tagged writes.  The batched bytes are
   **identical** to the tag-per-element encoding (each element keeps
@@ -443,17 +445,19 @@ _ANY_WRITERS: Dict[type, Callable[["CDREncoder", Any], None]] = {
 class CDRDecoder:
     """Read values back out of a CDR byte buffer.
 
-    Accepts ``bytes``, ``bytearray`` or ``memoryview``; scanning is
-    zero-copy — only :meth:`read_octets` materialises new ``bytes``
-    (its callers re-encode or compare the payload, so a real object is
-    the safe return type).
+    Accepts ``bytes``, ``bytearray`` or ``memoryview``.  Anything but
+    ``bytes`` is copied into ``bytes`` once, here: every later read
+    then slices an immutable buffer, so a string is one
+    ``bytes.decode`` of its slice and :meth:`read_octets` returns the
+    slice itself, and the caller may reuse its mutable buffer as soon
+    as the decoder exists.
     """
 
-    __slots__ = ("_mv", "_len", "_offset")
+    __slots__ = ("_buf", "_len", "_offset")
 
     def __init__(self, data: bytes) -> None:
-        self._mv = data if isinstance(data, memoryview) else memoryview(data)
-        self._len = len(self._mv)
+        self._buf = data if type(data) is bytes else bytes(data)
+        self._len = len(self._buf)
         self._offset = 0
 
     # -- low-level ------------------------------------------------------
@@ -475,7 +479,7 @@ class CDRDecoder:
             self._offset = offset
             raise self._underrun(compiled.size, offset)
         self._offset = end
-        return compiled.unpack_from(self._mv, offset)[0]
+        return compiled.unpack_from(self._buf, offset)[0]
 
     def read_raw(self, size: int) -> bytes:
         """The next ``size`` bytes verbatim (no alignment)."""
@@ -484,7 +488,7 @@ class CDRDecoder:
         if end > self._len:
             raise self._underrun(size, offset)
         self._offset = end
-        return bytes(self._mv[offset:end])
+        return self._buf[offset:end]
 
     # -- primitives -----------------------------------------------------
 
@@ -493,7 +497,7 @@ class CDRDecoder:
         if offset >= self._len:
             raise self._underrun(1, offset)
         self._offset = offset + 1
-        return self._mv[offset]
+        return self._buf[offset]
 
     def read_boolean(self) -> bool:
         return bool(self.read_octet())
@@ -517,7 +521,7 @@ class CDRDecoder:
             self._offset = offset
             raise self._underrun(4, offset)
         self._offset = end
-        return _S_ULONG.unpack_from(self._mv, offset)[0]
+        return _S_ULONG.unpack_from(self._buf, offset)[0]
 
     def read_longlong(self) -> int:
         return self._unpack(_S_LONGLONG, 8)
@@ -529,7 +533,7 @@ class CDRDecoder:
         return self._unpack(_S_DOUBLE, 8)
 
     def read_string(self) -> str:
-        mv = self._mv
+        buf = self._buf
         size = self._len
         offset = self._offset
         offset += -offset & 3
@@ -537,14 +541,14 @@ class CDRDecoder:
         if end > size:
             self._offset = offset
             raise self._underrun(4, offset)
-        length = _S_ULONG.unpack_from(mv, offset)[0]
+        length = _S_ULONG.unpack_from(buf, offset)[0]
         offset = end
         end = offset + length
         if end > size:
             self._offset = offset
             raise MARSHAL(f"string of length {length} overruns buffer")
         try:
-            value = str(mv[offset:end], "utf-8")
+            value = buf[offset:end].decode()
         except UnicodeDecodeError as error:
             self._offset = offset
             raise MARSHAL(f"invalid UTF-8 string on the wire: {error}") from None
@@ -552,7 +556,7 @@ class CDRDecoder:
         return value
 
     def read_octets(self) -> bytes:
-        mv = self._mv
+        buf = self._buf
         size = self._len
         offset = self._offset
         offset += -offset & 3
@@ -560,28 +564,28 @@ class CDRDecoder:
         if end > size:
             self._offset = offset
             raise self._underrun(4, offset)
-        length = _S_ULONG.unpack_from(mv, offset)[0]
+        length = _S_ULONG.unpack_from(buf, offset)[0]
         offset = end
         end = offset + length
         if end > size:
             self._offset = offset
             raise MARSHAL(f"octet sequence of length {length} overruns buffer")
         self._offset = end
-        return bytes(mv[offset:end])
+        return buf[offset:end]
 
     # -- any --------------------------------------------------------------
 
     def read_any(self) -> Any:
         if _USE_FAST:
             value, self._offset = _cdr_fast.read_any(
-                self._mv, self._offset, self._len, _BATCH_MIN
+                self._buf, self._offset, self._len, _BATCH_MIN
             )
             return value
         offset = self._offset
         if offset >= self._len:
             raise self._underrun(1, offset)
         self._offset = offset + 1
-        tag = self._mv[offset]
+        tag = self._buf[offset]
         reader = _ANY_READERS.get(tag)
         if reader is None:
             raise MARSHAL(f"unknown any tag: {tag}")
@@ -598,7 +602,7 @@ class CDRDecoder:
     def _read_any_sequence(self) -> List[Any]:
         length = self.read_ulong()
         if length >= _BATCH_MIN and self._offset < self._len:
-            first_tag = self._mv[self._offset]
+            first_tag = self._buf[self._offset]
             if first_tag == TAG_DOUBLE:
                 result = self._read_batch(length, _S_DOUBLE, "B7xd", TAG_DOUBLE)
                 if result is not None:
@@ -620,14 +624,14 @@ class CDRDecoder:
         out = [first]
         offset = self._offset
         remaining = length - 1
-        mv = self._mv
+        buf = self._buf
         while remaining:
             count = min(remaining, _BATCH_CHUNK)
             compiled = _batch_struct(unit, count)
             if offset + compiled.size > self._len:
                 self._offset = start
                 return None  # underrun or trailing mixed types: re-scan
-            flat = compiled.unpack_from(mv, offset)
+            flat = compiled.unpack_from(buf, offset)
             if flat[0::2].count(tag) != count:
                 self._offset = start
                 return None  # mixed element types: generic loop decodes
@@ -640,7 +644,7 @@ class CDRDecoder:
 
     def _read_any_map(self) -> Dict[str, Any]:
         length = self.read_ulong()
-        mv = self._mv
+        buf = self._buf
         size = self._len
         result: Dict[str, Any] = {}
         for _ in range(length):
@@ -652,14 +656,14 @@ class CDRDecoder:
             if end > size:
                 self._offset = offset
                 raise self._underrun(4, offset)
-            key_length = _S_ULONG.unpack_from(mv, offset)[0]
+            key_length = _S_ULONG.unpack_from(buf, offset)[0]
             offset = end
             end = offset + key_length
             if end > size:
                 self._offset = offset
                 raise MARSHAL(f"string of length {key_length} overruns buffer")
             try:
-                key = str(mv[offset:end], "utf-8")
+                key = buf[offset:end].decode()
             except UnicodeDecodeError as error:
                 self._offset = offset
                 raise MARSHAL(

@@ -167,27 +167,25 @@ _request_preamble_cache = LRUCache(maxsize=256)
 _request_decode_cache = LRUCache(maxsize=256)
 _reply_decode_cache = LRUCache(maxsize=256)
 
-# -- payload ("any") span caches ---------------------------------------
+# -- payload ("any") decode caches -------------------------------------
 #
-# The same exact-match replay idea, applied to the hot *tail* of a
-# message: the argument list of a request and the result of a reply.
-# Encoders key by (buffer alignment, frozen value tree) — _freeze is
-# type-tagged and keys floats by bit pattern, so two values share a key
-# only when their encodings are byte-identical.  Decoders key by the
-# exact remaining bytes (the span runs to the end of the message, so
-# the tail slice *is* the span) and replay a plain-data copy, keeping
-# the caller's full ownership of mutable results.  Misses take the
-# ordinary element-by-element path and populate the cache, so the wire
-# format and the accepted inputs are unchanged.
+# The same exact-bytes replay idea, applied to the decode of a
+# message's hot *tail*: the argument list of a request and the result
+# of a reply.  The span runs to the end of the message, so the tail
+# slice *is* the key and costs one C-speed hash; a hit replays a
+# plain-data copy, keeping the caller's full ownership of mutable
+# results.  There is deliberately no encode-side counterpart: keying by
+# value means walking the whole argument tree once per call, which
+# costs about as much as encoding it and only pays off when the very
+# same payload is sent again.
 
-_args_encode_cache = LRUCache(maxsize=256)
 _args_decode_cache = LRUCache(maxsize=256)
-_result_encode_cache = LRUCache(maxsize=256)
 _result_decode_cache = LRUCache(maxsize=256)
 
-#: Spans above this size are not memoised: the caches target per-call
-#: overhead, which large payloads amortise on their own, and bounding
-#: the entry size keeps 256 slots worth of bytes small.
+#: Tails above this size are never memoised (nor probed): the caches
+#: target per-call overhead, which large payloads amortise on their
+#: own, and bounding the entry size keeps 256 slots worth of bytes
+#: small.
 _SPAN_LIMIT = 4096
 
 
@@ -226,9 +224,7 @@ def clear_caches() -> None:
     _request_preamble_cache.clear()
     _request_decode_cache.clear()
     _reply_decode_cache.clear()
-    _args_encode_cache.clear()
     _args_decode_cache.clear()
-    _result_encode_cache.clear()
     _result_decode_cache.clear()
     del _request_decode_lengths[:]
     del _reply_decode_lengths[:]
@@ -279,26 +275,9 @@ def encode_request(request: Request, pools: Optional[Any] = None) -> bytes:
         if key is not None:
             _request_preamble_cache.put(key, encoder.bytes_since(mark))
     args = request.args
-    frozen_args = _freeze(args)
-    if frozen_args is not _UNFREEZABLE:
-        args_key = (len(encoder) % 8, frozen_args)
-        span = _args_encode_cache.get(args_key)
-        if span is not None:
-            encoder.write_raw(span)
-            counters.any_span_hits += 1
-        else:
-            mark = encoder.mark()
-            encoder.write_ulong(len(args))
-            for arg in args:
-                encoder.write_any(arg)
-            span = encoder.bytes_since(mark)
-            if len(span) <= _SPAN_LIMIT:
-                _args_encode_cache.put(args_key, span)
-            counters.any_span_misses += 1
-    else:
-        encoder.write_ulong(len(args))
-        for arg in args:
-            encoder.write_any(arg)
+    encoder.write_ulong(len(args))
+    for arg in args:
+        encoder.write_any(arg)
     wire = encoder.getvalue()
     if pools is not None:
         pools.release_encoder(encoder)
@@ -328,17 +307,23 @@ def decode_request(data: bytes) -> Request:
                 target, operation, kind, command_target, expected, ctx = entry
                 # The replayed span embeds the cached IOR parse.
                 counters.ior_parse_hits += 1
-                tail = data[12 + length:]
-                template = _args_decode_cache.get(tail)
+                tail_start = 12 + length
+                tail = (
+                    data[tail_start:]
+                    if len(data) - tail_start <= _SPAN_LIMIT else None
+                )
+                template = (
+                    _args_decode_cache.get(tail) if tail is not None else None
+                )
                 if template is not None:
                     args = tuple([_copy_plain(arg) for arg in template])
                     counters.any_span_hits += 1
                 else:
                     decoder = CDRDecoder(data)
-                    decoder._offset = 12 + length
+                    decoder._offset = tail_start
                     count = decoder.read_ulong()
                     args = tuple([decoder.read_any() for _ in range(count)])
-                    if len(tail) <= _SPAN_LIMIT:
+                    if tail is not None:
                         # The template gets its own copy: callers own
                         # (and may mutate) the args we hand back.
                         _args_decode_cache.put(
@@ -457,24 +442,8 @@ def encode_reply(
     encoder.write_raw(_REPLY_PREFIX + _S_ULONG.pack(request_id))
     _write_contexts(encoder, service_contexts or {})
     if exception is None:
-        frozen_result = _freeze(result)
-        if frozen_result is not _UNFREEZABLE:
-            result_key = (len(encoder) % 8, frozen_result)
-            span = _result_encode_cache.get(result_key)
-            if span is not None:
-                encoder.write_raw(span)
-                counters.any_span_hits += 1
-            else:
-                mark = encoder.mark()
-                encoder.write_octet(NO_EXCEPTION)
-                encoder.write_any(result)
-                span = encoder.bytes_since(mark)
-                if len(span) <= _SPAN_LIMIT:
-                    _result_encode_cache.put(result_key, span)
-                counters.any_span_misses += 1
-        else:
-            encoder.write_octet(NO_EXCEPTION)
-            encoder.write_any(result)
+        encoder.write_octet(NO_EXCEPTION)
+        encoder.write_any(result)
     elif isinstance(exception, UserException):
         encoder.write_octet(USER_EXCEPTION)
         encoder.write_string(exception.repo_id)
@@ -556,8 +525,8 @@ def decode_reply(data: bytes) -> Reply:
                 and len(_reply_decode_lengths) < _DECODE_LENGTH_LIMIT
             ):
                 _reply_decode_lengths.append(length)
-    tail = data[decoder._offset:]
-    template = _result_decode_cache.get(tail)
+    tail = data[decoder._offset:] if decoder.remaining <= _SPAN_LIMIT else None
+    template = _result_decode_cache.get(tail) if tail is not None else None
     if template is not None:
         # Stored as a 1-tuple so a legitimate None result still hits.
         reply = Reply(request_id, contexts, _copy_plain(template[0]), None)
@@ -571,7 +540,7 @@ def decode_reply(data: bytes) -> Reply:
     if status == NO_EXCEPTION:
         result = decoder.read_any()
         reply = Reply(request_id, contexts, result, None)
-        if len(tail) <= _SPAN_LIMIT:
+        if tail is not None:
             _result_decode_cache.put(tail, (_copy_plain(result),))
         counters.any_span_misses += 1
     elif status == USER_EXCEPTION:

@@ -6,6 +6,12 @@ codec records encode/decode nanoseconds and byte counts into it when
 the CDR batcher and the IOR/service-context caches bump their counters
 unconditionally because an integer increment is cheaper than a guard.
 
+``any_span_hits``/``any_span_misses`` count decode-side replay only:
+one per request argument list or reply result decoded after a cached
+preamble, a hit when the exact tail bytes were decoded before.  Tails
+too large to be cached still count as misses.  Encoding keeps no
+payload cache, so it counts nothing here.
+
 :class:`WireStats` rides the existing ``ORB.add_wire_observer`` hook,
 so per-ORB traffic accounting needs no monkey-patching:
 
