@@ -3,6 +3,7 @@
 import pytest
 
 from repro.orb import QOS_TAG, TaggedComponent, World
+from repro.orb.cdr import use_fast_path
 from repro.orb.ior import GROUP_TAG, IOR
 from repro.orb.servant import Servant
 from repro.orb.stub import Stub
@@ -47,6 +48,14 @@ class EchoStub(Stub):
 
     def add(self, a, b):
         return self._call("add", a, b)
+
+
+@pytest.fixture(params=[True, False], ids=["flat", "class"])
+def codec_path(request):
+    """Run the test on the flat codec and on the class-based one."""
+    previous = use_fast_path(request.param)
+    yield request.param
+    use_fast_path(previous)
 
 
 @pytest.fixture
