@@ -54,6 +54,16 @@ class TestARC4:
         sealed = arc4.encrypt(b"Key", b"Plaintext")
         assert sealed.hex() == "bbf316e8d940af0ad3"
 
+    @pytest.mark.parametrize(
+        "key, plaintext, expected",
+        [
+            (b"Wiki", b"pedia", "1021bf0420"),
+            (b"Secret", b"Attack at dawn", "45a01f645fc35b383552544b9bf5"),
+        ],
+    )
+    def test_classic_vectors(self, key, plaintext, expected):
+        assert arc4.encrypt(key, plaintext).hex() == expected
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name", sorted(ciphers.CIPHERS))
