@@ -9,6 +9,12 @@ honest CPU-cost and choreography behaviour.
 
 - :mod:`repro.ciphers.xtea` — the XTEA block cipher in CTR mode.
 - :mod:`repro.ciphers.arc4` — an RC4-style stream cipher.
+- :mod:`repro.ciphers.keystream` — the keystream memo and XOR both
+  share.  Each message restarts the keystream at offset 0, so the
+  keystream is a function of ``(key, nonce)`` alone; that is kept for
+  wire compatibility and is not secure.  It is memoised per key, at
+  most 32 keys × 16 KiB (about 0.55 MiB in all), and :func:`forget`
+  drops a key's keystreams when its session ends.
 - :mod:`repro.ciphers.keyex` — finite-field Diffie-Hellman key
   agreement, driven over MAQS commands by the encryption mechanism.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from repro.ciphers import arc4, xtea
+from repro.ciphers.keystream import forget
 
 #: name -> (encrypt, decrypt); both take (key: bytes, data: bytes).
 Cipher = Tuple[Callable[[bytes, bytes], bytes], Callable[[bytes, bytes], bytes]]
@@ -51,4 +58,11 @@ def cpu_cost(name: str, nbytes: int) -> float:
     return CPU_COST_PER_BYTE.get(name, 0.0) * nbytes
 
 
-__all__ = ["CIPHERS", "CPU_COST_PER_BYTE", "Cipher", "cpu_cost", "get_cipher"]
+__all__ = [
+    "CIPHERS",
+    "CPU_COST_PER_BYTE",
+    "Cipher",
+    "cpu_cost",
+    "forget",
+    "get_cipher",
+]

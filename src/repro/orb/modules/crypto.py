@@ -63,19 +63,30 @@ class CryptoModule(QoSModule):
         """
         endpoint = KeyExchange(seed=self._dh_seed)
         self._dh_seed += 1
-        self._keys[key_id] = endpoint.shared_key(peer_public)
+        self._store_key(key_id, endpoint.shared_key(peer_public))
         return endpoint.public_value
 
     def install_key(self, key_id: str, key: bytes) -> bool:
         """Directly install a session key (local configuration path)."""
         if not isinstance(key, (bytes, bytearray)) or not key:
             raise BAD_PARAM("session key must be non-empty bytes")
-        self._keys[key_id] = bytes(key)
+        self._store_key(key_id, bytes(key))
         return True
 
     def drop_key(self, key_id: str) -> bool:
-        """Forget a session key; returns whether it existed."""
-        return self._keys.pop(key_id, None) is not None
+        """Forget a session key and its keystreams; returns whether it existed."""
+        old = self._keys.pop(key_id, None)
+        if old is None:
+            return False
+        ciphers.forget(old)
+        return True
+
+    def _store_key(self, key_id: str, key: bytes) -> None:
+        # A replaced session key's keystreams must not outlive it.
+        old = self._keys.get(key_id)
+        if old is not None and old != key:
+            ciphers.forget(old)
+        self._keys[key_id] = key
 
     def active_keys(self) -> list:
         """Installed key ids (never the key material)."""

@@ -160,6 +160,27 @@ class TestCryptoModule:
         assert not module.drop_key("k")
         assert "k" not in module.active_keys()
 
+    def test_dropped_or_replaced_key_leaves_no_keystream(self, client_orb):
+        from repro.ciphers import keystream
+
+        def memoised(key):
+            return [slot for slot in keystream._MEMO if slot[1] == key]
+
+        module = client_orb.qos_transport.load_module("crypto")
+        first, second = b"dropped-key-0001", b"replaced-key-002"
+        for key_id, key in (("k", first), ("r", second)):
+            module.install_key(key_id, key)
+            for cipher in ("arc4", "xtea-ctr"):
+                params, payload, _ = module.wrap(
+                    b"body", {"cipher": cipher, "key_id": key_id}
+                )
+                assert module.unwrap(params, payload)[0] == b"body"
+            assert len(memoised(key)) == 2
+        assert module.drop_key("k")
+        assert memoised(first) == []
+        module.install_key("r", b"a-brand-new-key!")
+        assert memoised(second) == []
+
 
 class TestBandwidthModule:
     def test_reservation_isolates_from_cross_traffic(
