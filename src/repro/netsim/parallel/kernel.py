@@ -27,6 +27,7 @@ when the caller demands strict single-heap determinism.
 from __future__ import annotations
 
 import hashlib
+import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.netsim.kernel import EventKernel, KernelError
@@ -58,12 +59,16 @@ def _worker_main(conn: Any, shard_id: int, hosts: List[str],
                  topology: TopologySpec, lookahead: float, seed: int,
                  trace: bool,
                  initial: List[Tuple[float, str, str, Any]]) -> None:
-    """Entry point of one spawned shard worker (module-level: spawn-safe)."""
-    runtime = ShardRuntime(shard_id, set(hosts), topology, lookahead,
-                           seed=seed, trace=trace)
-    for time, host, ref, payload in initial:
-        runtime.post(time, host, ref, payload)
+    """Entry point of one spawned shard worker (module-level: spawn-safe).
+
+    A failure is sent back as ``("error", traceback)`` so the parent can
+    raise a :class:`KernelError` naming this shard.
+    """
     try:
+        runtime = ShardRuntime(shard_id, set(hosts), topology, lookahead,
+                               seed=seed, trace=trace)
+        for time, host, ref, payload in initial:
+            runtime.post(time, host, ref, payload)
         while True:
             message = conn.recv()
             op = message[0]
@@ -82,8 +87,31 @@ def _worker_main(conn: Any, shard_id: int, hosts: List[str],
                 return
             else:  # pragma: no cover - protocol guard
                 raise KernelError(f"unknown worker op: {op!r}")
+    except EOFError:  # the parent closed its end: nothing to report to
+        pass
+    except Exception:  # the parent reports it; this process ends here
+        conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
+
+
+def _send(pipe: Any, shard: int, message: Tuple[Any, ...]) -> None:
+    try:
+        pipe.send(message)
+    except OSError as error:
+        raise KernelError(f"shard {shard} worker is gone: {error!r}") from error
+
+
+def _recv(pipe: Any, shard: int) -> Tuple[Any, ...]:
+    try:
+        reply = pipe.recv()
+    except (EOFError, OSError) as error:
+        raise KernelError(
+            f"shard {shard} worker died without replying: {error!r}"
+        ) from error
+    if reply[0] == "error":
+        raise KernelError(f"shard {shard} worker failed:\n{reply[1]}")
+    return reply
 
 
 class ShardedKernel:
@@ -280,9 +308,11 @@ class ShardedKernel:
                 child.close()
                 pipes.append(parent)
                 workers.append(worker)
-            for pipe in pipes:
-                pipe.send(("peek",))
-            heads: List[Optional[float]] = [pipe.recv()[1] for pipe in pipes]
+            for shard, pipe in enumerate(pipes):
+                _send(pipe, shard, ("peek",))
+            heads: List[Optional[float]] = [
+                _recv(pipe, shard)[1] for shard, pipe in enumerate(pipes)
+            ]
             inboxes: List[List[CrossShardMessage]] = [[] for _ in range(shards)]
             barriers = 0
             fired = 0
@@ -300,22 +330,22 @@ class ShardedKernel:
                 window_end = gvt + lookahead
                 if until is not None and window_end > until:
                     window_end = until
-                for pipe, inbox in zip(pipes, inboxes):
-                    pipe.send(("window", window_end, inbox))
+                for shard, (pipe, inbox) in enumerate(zip(pipes, inboxes)):
+                    _send(pipe, shard, ("window", window_end, inbox))
                 inboxes = [[] for _ in range(shards)]
                 for index, pipe in enumerate(pipes):
-                    _, head, outbox, shard_fired = pipe.recv()
+                    _, head, outbox, shard_fired = _recv(pipe, index)
                     heads[index] = head
                     fired += shard_fired
                     for message in outbox:
                         inboxes[owner[message.host]].append(message)
                 barriers += 1
-            for pipe in pipes:
-                pipe.send(("finish",))
+            for shard, pipe in enumerate(pipes):
+                _send(pipe, shard, ("finish",))
             shard_stats = []
             trace: List[Tuple[float, str, str, str]] = []
-            for pipe in pipes:
-                _, worker_trace, stats = pipe.recv()
+            for shard, pipe in enumerate(pipes):
+                _, worker_trace, stats = _recv(pipe, shard)
                 trace.extend(worker_trace)
                 shard_stats.append(stats)
             if self.trace_enabled:

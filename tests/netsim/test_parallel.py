@@ -1,5 +1,6 @@
 """Tests for the sharded event kernel (conservative synchronization)."""
 
+import os
 import sys
 
 import pytest
@@ -246,6 +247,46 @@ class TestProcessBackend:
         assert fired_proc == fired_inline
         assert proc.trace_digest() == inline.trace_digest()
         assert proc.stats()["backend"] == "process"
+
+
+def explode(ctx, payload):
+    """A shard handler that fails (spawned workers import it by name)."""
+    raise RuntimeError(f"handler failed on purpose: {payload}")
+
+
+def vanish(ctx, payload):
+    """A shard handler whose process exits without a word."""
+    os._exit(3)
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="POSIX pipes assumed"
+    )
+    def test_failing_handler_raises_kernel_error_naming_the_shard(self):
+        topo = small_topology()
+        kernel = ShardedKernel(topo, shards=2, backend="process")
+        host = topo.hosts[-1]
+        shard = kernel.plan.assignment[host]
+        kernel.schedule_at(0.001, host, explode, "boom")
+        with pytest.raises(KernelError) as caught:
+            kernel.run()
+        message = str(caught.value)
+        assert f"shard {shard} worker failed" in message
+        assert "handler failed on purpose: boom" in message
+        assert not isinstance(caught.value.__cause__, (EOFError, OSError))
+
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="POSIX pipes assumed"
+    )
+    def test_worker_exiting_mid_run_raises_kernel_error(self):
+        topo = small_topology()
+        kernel = ShardedKernel(topo, shards=2, backend="process")
+        host = topo.hosts[0]
+        shard = kernel.plan.assignment[host]
+        kernel.schedule_at(0.001, host, vanish)
+        with pytest.raises(KernelError, match=f"shard {shard} worker died"):
+            kernel.run()
 
 
 class TestShardStatsPanel:
