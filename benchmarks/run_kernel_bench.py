@@ -11,8 +11,9 @@ sides execute interleaved in this process:
    same event set.
 2. **cdr** — ``write_any``/``read_any`` with the compiled-style fast
    path (:mod:`repro.orb._cdr_fast`) on and off, reported as ns/call
-   against the decode figure committed in ``BENCH_orb.json`` and,
-   timed in this run, against the seed decoder (``_seed_cdr``).
+   against the seed decoder (``_seed_cdr``) timed in this run, and,
+   for the record only, against the decode figure committed in
+   ``BENCH_orb.json`` on another machine.
 3. **echo** — the full ORB echo round-trip against the seed wire
    path, same harness as ``run_bench.py``, one payload replayed.
 4. **echo_varied** — the same round-trip over the seeded Zipf echo
@@ -30,8 +31,8 @@ Usage::
 
 Unless ``--no-check`` is given the run fails (exit 1) if the soak or
 echo speedups come in under 2x, the fast-path decode is not >= 2x
-faster than the committed interpreter figure, or the varied-payload
-echo comes in under 1.5x the seed wire path.
+faster than the seed decoder timed in the same run, or the
+varied-payload echo comes in under 1.5x the seed wire path.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ from repro.workloads.soak import (  # noqa: E402
 )
 
 #: Committed interpreter-era decode cost (BENCH_orb.json at the time
-#: the fast path landed); the compiled-CDR gate is measured against it.
+#: the fast path landed).  Reported only: it was timed on another
+#: machine, so a ratio against it moves with the machine, not the code.
 COMMITTED_DECODE_NS = 16392.6
 
 SOAK_SHARDS = 4
@@ -342,8 +344,7 @@ def main(argv=None) -> int:
             "min_speedup": args.min_speedup,
             "soak_speedup": soak["speedup"],
             "echo_speedup": echo["speedup"],
-            "decode_speedup_vs_committed":
-                cdr_result["decode_speedup_vs_committed"],
+            "decode_speedup_vs_seed": cdr_result["decode_speedup_vs_seed"],
             "min_varied_speedup": MIN_VARIED_SPEEDUP,
             "echo_varied_speedup": varied["speedup"],
         },
@@ -375,10 +376,9 @@ def main(argv=None) -> int:
             failures.append(f"soak {soak['speedup']:.2f}x")
         if echo["speedup"] < args.min_speedup:
             failures.append(f"echo {echo['speedup']:.2f}x")
-        if cdr_result["decode_speedup_vs_committed"] < args.min_speedup:
+        if cdr_result["decode_speedup_vs_seed"] < args.min_speedup:
             failures.append(
-                f"decode-vs-committed "
-                f"{cdr_result['decode_speedup_vs_committed']:.2f}x"
+                f"decode-vs-seed {cdr_result['decode_speedup_vs_seed']:.2f}x"
             )
         if varied["speedup"] < MIN_VARIED_SPEEDUP:
             failures.append(
