@@ -12,7 +12,6 @@ memo sits in front of the generators.
 import hashlib
 import random
 
-from repro import ciphers
 from repro.ciphers import arc4, xtea
 
 SEED = 20010416
@@ -66,10 +65,3 @@ def test_golden_corpus_digest():
     assert count == 40 * len(LENGTHS) + 3 * len(XTEA_NONCES) * len(LENGTHS)
     assert digest == GOLDEN_DIGEST
 
-
-def test_registry_matches_module_functions():
-    rng = random.Random(SEED + 1)
-    key = rng.randbytes(16)
-    data = rng.randbytes(300)
-    assert ciphers.CIPHERS["arc4"][0](key, data) == arc4.encrypt(key, data)
-    assert ciphers.CIPHERS["xtea-ctr"][0](key, data) == xtea.encrypt(key, data)
