@@ -6,9 +6,19 @@ Tokens:
 - match: ``0x01`` followed by a 2-byte big-endian offset (1..65535
   back) and a 1-byte length (MIN_MATCH..MIN_MATCH+254).
 
-A hash table over 3-byte prefixes keeps compression roughly linear.
-The format favours clarity over ratio — it is a real codec with a real
-speed/ratio trade-off, which is all the E6 experiments need.
+A hash table over 3-byte prefixes keeps compression roughly linear:
+it maps each prefix to the most recent token start that had it, and
+each token start probes it once.  The format favours clarity over
+ratio — it is a real codec with a real speed/ratio trade-off, which is
+all the E6 experiments need.
+
+Both directions cost Python work per token, not per byte.  Compress
+measures a match by comparing slices (the longest allowed match, up
+to 258 bytes, first; then a binary search for the common prefix);
+decompress copies a match with one slice, or repeats its period when
+the match overlaps its own output.  The output bytes are the same as
+those of a byte-at-a-time match loop, so the format and every
+compressed size are unchanged.
 """
 
 from __future__ import annotations
@@ -37,17 +47,32 @@ def compress(data: bytes) -> bytes:
         if index + _MIN_MATCH <= length:
             key = data[index : index + 3]
             candidate = table.get(key)
-            if candidate is not None and index - candidate <= _WINDOW:
-                match_length = 0
+            if (
+                candidate is not None
+                and index - candidate <= _WINDOW
+                and data[candidate + 3] == data[index + 3]
+            ):
+                # The 3-byte key and the 4th byte agree, so the match
+                # is at least _MIN_MATCH long.  Take all ``limit``
+                # bytes if the slices agree; otherwise binary-search
+                # the common prefix length, comparing only the
+                # untested part of each slice.
                 limit = min(_MAX_MATCH, length - index)
-                while (
-                    match_length < limit
-                    and data[candidate + match_length] == data[index + match_length]
-                ):
-                    match_length += 1
-                if match_length >= _MIN_MATCH:
-                    best_length = match_length
-                    best_offset = index - candidate
+                if data[candidate : candidate + limit] == data[index : index + limit]:
+                    best_length = limit
+                else:
+                    low, high = _MIN_MATCH, limit
+                    while high - low > 1:
+                        middle = (low + high) // 2
+                        if (
+                            data[candidate + low : candidate + middle]
+                            == data[index + low : index + middle]
+                        ):
+                            low = middle
+                        else:
+                            high = middle
+                    best_length = low
+                best_offset = index - candidate
             table[key] = index
         if best_length:
             out.append(_TOKEN_MATCH)
@@ -86,8 +111,13 @@ def decompress(data: bytes) -> bytes:
             if offset == 0 or offset > len(out):
                 raise ValueError(f"bad match offset {offset}")
             start = len(out) - offset
-            for position in range(match_length):
-                out.append(out[start + position])
+            if offset >= match_length:
+                out += out[start : start + match_length]
+            else:
+                # Overlapping match: the copy repeats the last
+                # ``offset`` bytes until it is ``match_length`` long.
+                period = out[start:]
+                out += (period * (match_length // offset + 1))[:match_length]
         else:
             raise ValueError(f"unknown token {token}")
     return bytes(out)
