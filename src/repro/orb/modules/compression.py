@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro import codecs
-from repro.orb.exceptions import BAD_PARAM
+from repro.orb.exceptions import BAD_PARAM, MARSHAL
 from repro.orb.modules.base import QoSModule
 
 DEFAULT_CODEC = "lz"
@@ -85,11 +85,15 @@ class CompressionModule(QoSModule):
         self, params: Dict[str, Any], payload: bytes, state: Dict[str, Any]
     ) -> Tuple[bytes, float]:
         codec_name = params.get("codec", "identity")
+        decompress = state.get(codec_name)
         try:
-            decompress = state[codec_name]
-        except KeyError:
-            decompress = state[codec_name] = codecs.get_codec(codec_name)[1]
-        body = decompress(payload)
+            if decompress is None:
+                decompress = state[codec_name] = codecs.get_codec(codec_name)[1]
+            body = decompress(payload)
+        except ValueError as error:
+            # An unknown codec name or a corrupt body: the message
+            # cannot be read, which is a marshalling failure.
+            raise MARSHAL(f"cannot decompress {codec_name!r} body: {error}") from error
         return body, codecs.cpu_cost(codec_name, len(body))
 
 

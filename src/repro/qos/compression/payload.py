@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro import codecs
 from repro.core.mediator import Mediator
 from repro.core.qos_skeleton import QoSImplementation
-from repro.orb.exceptions import BAD_PARAM
+from repro.orb.exceptions import BAD_PARAM, MARSHAL
 
 _MARKER = "__maqs_c__"
 DEFAULT_CODEC = "lz"
@@ -44,13 +44,20 @@ def is_compressed(value: Any) -> bool:
 
 
 def decompress_value(value: Any) -> Any:
-    """Restore a marker map to its original value; pass others through."""
+    """Restore a marker map to its original value; pass others through.
+
+    A marker map that cannot be restored (unknown codec, corrupt data,
+    text that is not UTF-8) raises ``MARSHAL``.
+    """
     if not is_compressed(value):
         return value
     codec = value[_MARKER]
-    _, decompress = codecs.get_codec(codec)
-    raw = decompress(value["data"])
-    return raw.decode("utf-8") if value.get("text") else raw
+    try:
+        _, decompress = codecs.get_codec(codec)
+        raw = decompress(value["data"])
+        return raw.decode("utf-8") if value.get("text") else raw
+    except ValueError as error:  # includes UnicodeDecodeError
+        raise MARSHAL(f"cannot restore {codec!r} value: {error}") from error
 
 
 class CompressionMediator(Mediator):

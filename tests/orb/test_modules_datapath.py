@@ -3,9 +3,10 @@
 import pytest
 
 from repro.ciphers.keyex import KeyExchange
+from repro.orb import giop
 from repro.orb.dii import ModuleHandle
-from repro.orb.exceptions import BAD_PARAM, NO_PERMISSION, NO_RESOURCES
-from repro.orb.modules.base import binding_key
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, NO_PERMISSION, NO_RESOURCES
+from repro.orb.modules.base import binding_key, encode_envelope, is_envelope
 from tests.orb.conftest import EchoStub
 
 
@@ -74,6 +75,38 @@ class TestCompressionModule:
         client_orb.qos_transport.assign(qos_echo_ior, "compression")
         stub = EchoStub(client_orb, qos_echo_ior)
         assert stub.echo(noise) == noise.upper()
+
+    @pytest.mark.parametrize(
+        "params, body",
+        [
+            ({"codec": "lz", "requested": "lz"}, b"\x01\x00\x05\x00"),
+            ({"codec": "lz", "requested": "lz"}, b"\x00a\x00"),
+            ({"codec": "rle", "requested": "rle"}, b"\x85"),
+            ({"codec": "middle-out", "requested": "lz"}, b"\x00a"),
+        ],
+    )
+    def test_corrupt_request_body_answered_with_marshal(self, world, params, body):
+        # A body the server cannot decompress gets an unwrapped MARSHAL
+        # reply, as a body it cannot decrypt gets NO_PERMISSION.
+        server = world.orb("server")
+        wire = encode_envelope("compression", params, body)
+        reply, _ = server.handle_incoming(wire, world.clock.now)
+        assert not is_envelope(reply)
+        with pytest.raises(MARSHAL, match="cannot decompress"):
+            giop.decode_reply(reply).value()
+
+    def test_corrupt_reply_body_raises_marshal(
+        self, world, compressed_stub, monkeypatch
+    ):
+        assert compressed_stub.echo("before") == "BEFORE"
+        server_module = world.orb("server").qos_transport.module("compression")
+        monkeypatch.setattr(
+            server_module,
+            "_wrap_one",
+            lambda body, context, state: ({"codec": "lz"}, b"\x01\x00\x05\x00", 0.0),
+        )
+        with pytest.raises(MARSHAL, match="bad match offset 5"):
+            compressed_stub.echo("after")
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.binding import establish_qos
 from repro.core.negotiation import Range
-from repro.orb.exceptions import BAD_PARAM, NO_PERMISSION
+from repro.codecs import lz
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, NO_PERMISSION
 from repro.qos.actuality.freshness import ActualityImpl, ActualityMediator
 from repro.qos.compression.payload import (
     CompressionImpl,
@@ -45,6 +46,19 @@ class TestCompressionHelpers:
     def test_incompressible_passes_through(self):
         no_runs = bytes(range(256)) * 2  # RLE finds nothing to collapse
         assert compress_value(no_runs, "rle", 64) == no_runs
+
+    @pytest.mark.parametrize(
+        "marker",
+        [
+            {"__maqs_c__": "lz", "text": False, "data": b"\x01\x00\x05\x00"},
+            {"__maqs_c__": "rle", "text": False, "data": b"\x05ab"},
+            {"__maqs_c__": "middle-out", "text": False, "data": b""},
+            {"__maqs_c__": "lz", "text": True, "data": lz.compress(b"\xff\xfe")},
+        ],
+    )
+    def test_unrestorable_marker_raises_marshal(self, marker):
+        with pytest.raises(MARSHAL, match="cannot restore"):
+            decompress_value(marker)
 
 
 class TestCompressionBinding:
@@ -98,6 +112,13 @@ class TestCompressionBinding:
         )
         stub.store("doc", LARGE_TEXT)
         assert binding.mediator.observed_ratio() < 0.5
+
+    def test_corrupt_compressed_result_raises_marshal(self, world, archive_deployment):
+        _, _, _, stub = archive_deployment
+        mediator = CompressionMediator(threshold=64)
+        corrupt = {"__maqs_c__": "lz", "text": True, "data": b"\x00a\x01\x00"}
+        with pytest.raises(MARSHAL, match="truncated match token"):
+            mediator.after_reply(stub, "fetch", corrupt)
 
     def test_cpu_cost_advances_clock(self, world, archive_deployment):
         _, _, _, stub = archive_deployment
