@@ -59,6 +59,16 @@ def decode_envelope(data: bytes) -> Tuple[str, Dict[str, Any], bytes]:
     return module_name, params, payload
 
 
+def envelope_str(params: Dict[str, Any], name: str, default: str) -> str:
+    """The string envelope param ``name``; ``MARSHAL`` if the peer sent another type."""
+    value = params.get(name, default)
+    if type(value) is not str:
+        raise MARSHAL(
+            f"envelope param {name!r} must be a string, not {type(value).__name__}"
+        )
+    return value
+
+
 def is_envelope(data: bytes) -> bool:
     """Does this wire message carry a module envelope?"""
     return data[:4] == ENVELOPE_MAGIC

@@ -13,8 +13,8 @@ from typing import Any, Dict, Tuple
 
 from repro import ciphers
 from repro.ciphers.keyex import KeyExchange
-from repro.orb.exceptions import BAD_PARAM, NO_PERMISSION
-from repro.orb.modules.base import QoSModule
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, NO_PERMISSION
+from repro.orb.modules.base import QoSModule, envelope_str
 
 DEFAULT_CIPHER = "xtea-ctr"
 
@@ -63,7 +63,11 @@ class CryptoModule(QoSModule):
         """
         endpoint = KeyExchange(seed=self._dh_seed)
         self._dh_seed += 1
-        self._store_key(key_id, endpoint.shared_key(peer_public))
+        try:
+            key = endpoint.shared_key(peer_public)
+        except (TypeError, ValueError) as error:
+            raise BAD_PARAM(f"bad peer public value: {error}") from error
+        self._store_key(key_id, key)
         return endpoint.public_value
 
     def install_key(self, key_id: str, key: bytes) -> bool:
@@ -126,12 +130,15 @@ class CryptoModule(QoSModule):
     def _unwrap_one(
         self, params: Dict[str, Any], payload: bytes, state: Dict[Any, Any]
     ) -> Tuple[bytes, float]:
-        cipher_name = params.get("cipher", DEFAULT_CIPHER)
-        key_id = params.get("key_id", "")
+        cipher_name = envelope_str(params, "cipher", DEFAULT_CIPHER)
+        key_id = envelope_str(params, "key_id", "")
         try:
             decrypt, key = state[cipher_name, key_id]
         except KeyError:
-            decrypt = ciphers.get_cipher(cipher_name)[1]
+            try:
+                decrypt = ciphers.get_cipher(cipher_name)[1]
+            except ValueError as error:
+                raise MARSHAL(f"cannot decrypt: {error}") from error
             key = self._key(key_id)
             state[cipher_name, key_id] = (decrypt, key)
         body = decrypt(key, payload)

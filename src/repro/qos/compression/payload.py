@@ -46,15 +46,22 @@ def is_compressed(value: Any) -> bool:
 def decompress_value(value: Any) -> Any:
     """Restore a marker map to its original value; pass others through.
 
-    A marker map that cannot be restored (unknown codec, corrupt data,
+    A marker map that cannot be restored (a codec name that is not a
+    string, missing or non-bytes data, an unknown codec, corrupt data,
     text that is not UTF-8) raises ``MARSHAL``.
     """
     if not is_compressed(value):
         return value
     codec = value[_MARKER]
+    data = value.get("data")
+    if type(codec) is not str or not isinstance(data, (bytes, bytearray)):
+        raise MARSHAL(
+            f"malformed compressed value: codec {type(codec).__name__}, "
+            f"data {type(data).__name__}"
+        )
     try:
         _, decompress = codecs.get_codec(codec)
-        raw = decompress(value["data"])
+        raw = decompress(data)
         return raw.decode("utf-8") if value.get("text") else raw
     except ValueError as error:  # includes UnicodeDecodeError
         raise MARSHAL(f"cannot restore {codec!r} value: {error}") from error
@@ -93,10 +100,10 @@ class CompressionMediator(Mediator):
 
     def after_reply(self, stub: Any, operation: str, result: Any) -> Any:
         if is_compressed(result):
+            restored = decompress_value(result)
             stub._orb.clock.advance(
                 codecs.cpu_cost(result[_MARKER], len(result["data"]))
             )
-            restored = decompress_value(result)
             original = (
                 len(restored)
                 if isinstance(restored, (bytes, bytearray))

@@ -151,7 +151,10 @@ class EncryptionImpl(QoSImplementation):
     def exchange_key(self, key_id: str, public_value: int) -> int:
         endpoint = KeyExchange(seed=self._seed)
         self._seed += 1
-        self._keys[key_id] = endpoint.shared_key(public_value)
+        try:
+            self._keys[key_id] = endpoint.shared_key(public_value)
+        except (TypeError, ValueError) as error:
+            raise BAD_PARAM(f"bad peer public value: {error}") from error
         self.key_id = key_id
         return endpoint.public_value
 

@@ -100,6 +100,12 @@ class TestKeyExchange:
         with pytest.raises(ValueError):
             endpoint.shared_key(1)
 
+    @pytest.mark.parametrize("peer_public", ["x", 3.0, True, None, b"\x05"])
+    def test_non_int_public_rejected_before_arithmetic(self, peer_public):
+        endpoint = KeyExchange(seed=1)
+        with pytest.raises(TypeError, match="must be an int"):
+            endpoint.shared_key(peer_public)
+
     def test_key_length_capped(self):
         endpoint = KeyExchange(seed=1)
         peer = KeyExchange(seed=2)

@@ -108,6 +108,38 @@ class TestCompressionModule:
         with pytest.raises(MARSHAL, match="bad match offset 5"):
             compressed_stub.echo("after")
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"codec": ["x"]}, "'codec' must be a string, not list"),
+            ({"codec": 5, "requested": "lz"}, "'codec' must be a string, not int"),
+            ({"codec": "identity", "requested": ["x"]}, "'requested' must be a string"),
+            ({"codec": "identity", "requested": "middle-out"}, "unknown codec"),
+        ],
+    )
+    def test_malformed_request_params_answered_with_marshal(
+        self, world, params, match
+    ):
+        server = world.orb("server")
+        wire = encode_envelope("compression", params, b"")
+        reply, _ = server.handle_incoming(wire, world.clock.now)
+        assert not is_envelope(reply)
+        with pytest.raises(MARSHAL, match=match):
+            giop.decode_reply(reply).value()
+
+    def test_malformed_reply_params_raise_marshal(
+        self, world, compressed_stub, monkeypatch
+    ):
+        assert compressed_stub.echo("before") == "BEFORE"
+        server_module = world.orb("server").qos_transport.module("compression")
+        monkeypatch.setattr(
+            server_module,
+            "_wrap_one",
+            lambda body, context, state: ({"codec": ["lz"]}, body, 0.0),
+        )
+        with pytest.raises(MARSHAL, match="'codec' must be a string"):
+            compressed_stub.echo("after")
+
 
 @pytest.fixture
 def crypto_binding(world, client_orb, qos_echo_ior):
@@ -213,6 +245,49 @@ class TestCryptoModule:
         assert memoised(first) == []
         module.install_key("r", b"a-brand-new-key!")
         assert memoised(second) == []
+
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"cipher": ["x"], "key_id": "k"}, "'cipher' must be a string, not list"),
+            ({"cipher": "arc4", "key_id": ["k"]}, "'key_id' must be a string, not list"),
+            ({"cipher": "arc4", "key_id": b"k"}, "'key_id' must be a string, not bytes"),
+            ({"cipher": "rot13", "key_id": "k"}, "unknown cipher 'rot13'"),
+        ],
+    )
+    def test_malformed_request_params_answered_with_marshal(
+        self, world, params, match
+    ):
+        server = world.orb("server")
+        server.qos_transport.load_module("crypto").install_key("k", b"0123456789abcdef")
+        wire = encode_envelope("crypto", params, b"body")
+        reply, _ = server.handle_incoming(wire, world.clock.now)
+        assert not is_envelope(reply)
+        with pytest.raises(MARSHAL, match=match):
+            giop.decode_reply(reply).value()
+
+    def test_malformed_reply_params_raise_marshal(
+        self, world, crypto_binding, monkeypatch
+    ):
+        server_module = world.orb("server").qos_transport.module("crypto")
+        monkeypatch.setattr(
+            server_module,
+            "_wrap_one",
+            lambda body, context, state: ({"key_id": ["k"]}, body, 0.0),
+        )
+        with pytest.raises(MARSHAL, match="'key_id' must be a string"):
+            crypto_binding.echo("after")
+
+    @pytest.mark.parametrize("peer_public", ["x", 3.0, True, 1, -5, None])
+    def test_bad_peer_value_rejected_with_bad_param(
+        self, world, client_orb, qos_echo_ior, peer_public
+    ):
+        remote = ModuleHandle(client_orb, qos_echo_ior, "crypto")
+        with pytest.raises(BAD_PARAM, match="bad peer public value"):
+            remote.call("dh_exchange", "bad", peer_public)
+        server_module = world.orb("server").qos_transport.module("crypto")
+        assert "bad" not in server_module.active_keys()
 
 
 class TestBandwidthModule:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.binding import establish_qos
+from repro.core.mediator import CHARACTERISTIC_CONTEXT
 from repro.core.negotiation import Range
 from repro.codecs import lz
 from repro.orb.exceptions import BAD_PARAM, MARSHAL, NO_PERMISSION
@@ -58,6 +59,20 @@ class TestCompressionHelpers:
     )
     def test_unrestorable_marker_raises_marshal(self, marker):
         with pytest.raises(MARSHAL, match="cannot restore"):
+            decompress_value(marker)
+
+    @pytest.mark.parametrize(
+        "marker",
+        [
+            {"__maqs_c__": "lz", "text": False},
+            {"__maqs_c__": "lz", "text": False, "data": "not bytes"},
+            {"__maqs_c__": "lz", "text": False, "data": None},
+            {"__maqs_c__": ["lz"], "text": False, "data": b""},
+            {"__maqs_c__": 7, "text": False, "data": b""},
+        ],
+    )
+    def test_malformed_marker_raises_marshal(self, marker):
+        with pytest.raises(MARSHAL, match="malformed compressed value"):
             decompress_value(marker)
 
 
@@ -119,6 +134,24 @@ class TestCompressionBinding:
         corrupt = {"__maqs_c__": "lz", "text": True, "data": b"\x00a\x01\x00"}
         with pytest.raises(MARSHAL, match="truncated match token"):
             mediator.after_reply(stub, "fetch", corrupt)
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"__maqs_c__": "lz", "text": True},
+            {"__maqs_c__": "lz", "text": True, "data": "abc"},
+            {"__maqs_c__": ["lz"], "text": True, "data": b"\x00a"},
+        ],
+    )
+    def test_malformed_compressed_result_raises_marshal(
+        self, world, archive_deployment, malformed
+    ):
+        _, _, _, stub = archive_deployment
+        mediator = CompressionMediator(threshold=64)
+        before = world.clock.now
+        with pytest.raises(MARSHAL, match="malformed compressed value"):
+            mediator.after_reply(stub, "fetch", malformed)
+        assert world.clock.now == before
 
     def test_cpu_cost_advances_clock(self, world, archive_deployment):
         _, _, _, stub = archive_deployment
@@ -197,6 +230,20 @@ class TestEncryptionBinding:
         sealed = encrypt_value("secret", "arc4", "k1", key)
         with pytest.raises(NO_PERMISSION):
             decrypt_value(sealed, {})
+
+    @pytest.mark.parametrize("peer_public", ["x", 3.0, True, 1, None])
+    def test_bad_peer_value_rejected_with_bad_param(
+        self, world, archive_deployment, peer_public
+    ):
+        # The server half of the agreement, reached as a peer operation.
+        _, _, _, stub = archive_deployment
+        establish_qos(stub, "Encryption", mediator=EncryptionMediator())
+        with pytest.raises(BAD_PARAM, match="bad peer public value"):
+            stub._invoke(
+                "exchange_key",
+                ("bad-key", peer_public),
+                extra_contexts={CHARACTERISTIC_CONTEXT: "Encryption"},
+            )
 
     def test_impl_cipher_validation(self):
         impl = EncryptionImpl()
