@@ -101,6 +101,7 @@ class EventKernel:
     >>> _ = kernel.schedule(2.0, fired.append, "b")
     >>> _ = kernel.schedule(1.0, fired.append, "a")
     >>> kernel.run()
+    2
     >>> fired
     ['a', 'b']
     """

@@ -117,10 +117,13 @@ def _recv(pipe: Any, shard: int) -> Tuple[Any, ...]:
 class ShardedKernel:
     """Drop-in scenario driver over a host-sharded event space.
 
+    >>> from repro.netsim.parallel.plan import LinkSpec
+    >>> from repro.workloads.soak import schedule_soak, soak_config
     >>> topo = TopologySpec(["a", "b"], [LinkSpec("a", "b", 0.002)])
-    ... kernel = ShardedKernel(topo, shards=2)
-    ... kernel.schedule_at(0.0, "a", some_handler)
-    ... kernel.run()
+    >>> kernel = ShardedKernel(topo, shards=2)
+    >>> schedule_soak(kernel, soak_config(topo, duration=0.05))
+    >>> kernel.run() > 0
+    True
 
     ``backend`` is ``"inline"`` (default) or ``"process"``; either way
     the synchronization protocol, the event orderings per host and the
